@@ -483,14 +483,19 @@ func dayRollProfile(n int) catalog.Profile {
 }
 
 // dayRollMarket builds the market driven by BenchmarkAdvanceDayExport: a
-// long period (so the bench never exhausts it) whose daily download volume
-// is ~2% of the catalog (Users * DownloadsPerUser / Days), alongside
-// ~0.3% updated and ~0.05% newly arrived apps per day — the small
-// day-over-day deltas the paper's daily crawls observe.
-func dayRollMarket(b *testing.B, n int) *marketsim.Market {
+// period of at least rolls+1 days (so the bench never exhausts it) whose
+// daily download volume is ~2% of the catalog (Users * DownloadsPerUser /
+// Days), alongside ~0.3% updated and ~0.05% newly arrived apps per day —
+// the small day-over-day deltas the paper's daily crawls observe. Periods
+// longer than the 4096-day baseline scale the per-user download budget
+// with them, so the daily volume stays the same.
+func dayRollMarket(b *testing.B, n, rolls int) *marketsim.Market {
 	b.Helper()
-	cfg := marketsim.DefaultConfig(dayRollProfile(n))
-	cfg.Days = 4096
+	const baseDays = 4096
+	prof := dayRollProfile(n)
+	cfg := marketsim.DefaultConfig(prof)
+	cfg.Days = max(baseDays, rolls+1)
+	cfg.Profile.DownloadsPerUser = prof.DownloadsPerUser * float64(cfg.Days) / baseDays
 	cfg.WarmupDays = 0
 	// The serving path never reads the per-app daily series, so a store
 	// deployment runs with recording off (appstored -no-series). The knob
@@ -515,7 +520,7 @@ func BenchmarkAdvanceDayExport(b *testing.B) {
 			if n >= 1_000_000 && testing.Short() {
 				b.Skip("1M-app market build is slow; run without -short")
 			}
-			m := dayRollMarket(b, n)
+			m := dayRollMarket(b, n, b.N)
 			s := storeserver.New(m, storeserver.Config{PageSize: 100})
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -538,7 +543,7 @@ func BenchmarkAdvanceDayExport(b *testing.B) {
 // plateau, not grow with b.N.
 func BenchmarkDayRollWarmArena(b *testing.B) {
 	const n = 10_000
-	m := dayRollMarket(b, n)
+	m := dayRollMarket(b, n, b.N)
 	s := storeserver.New(m, storeserver.Config{PageSize: 100})
 	h := s.Handler()
 	w := &discardWriter{h: http.Header{}}

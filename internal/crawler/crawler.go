@@ -241,8 +241,12 @@ func New(cfg Config, database *db.DB) (*Crawler, error) {
 		tokens:  cfg.RatePerSec,
 		last:    time.Now(),
 	}
+	// The listing walker shares the transport with the workers, so the
+	// idle pool must keep one connection per worker plus the walker's;
+	// sized to Workers alone, the two evict each other's connections and
+	// the crawl redials on nearly every listing page.
 	transport := &http.Transport{
-		MaxIdleConnsPerHost: cfg.Workers,
+		MaxIdleConnsPerHost: cfg.Workers + 1,
 	}
 	rcfg := resilient.Config{
 		Transport:      transport,

@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -168,6 +169,51 @@ func TestMultiDayCrawl(t *testing.T) {
 	}
 	if multi == 0 {
 		t.Fatal("no app observed on all three days")
+	}
+}
+
+// TestCrawlReusesConnections pins the idle-pool sizing: the listing walker
+// and the per-app workers share one transport, so a 1-worker crawl needs
+// exactly two connections, however many days and pages it walks.
+func TestCrawlReusesConnections(t *testing.T) {
+	mcfg := marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(0.1))
+	mcfg.Days = 10
+	m, err := marketsim.New(mcfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := storeserver.New(m, storeserver.Config{PageSize: 20})
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	cfg := DefaultConfig(ts.URL)
+	cfg.Workers = 1
+	cfg.RatePerSec = 0
+	cfg.HedgeAfter = 0
+	cfg.FetchComments = true
+	c, err := New(cfg, db.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for day := 0; day < 3; day++ {
+		if day > 0 {
+			if err := srv.AdvanceDay(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.CrawlDay(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := conns.Load(); n > 2 {
+		t.Fatalf("a 1-worker crawl opened %d connections over 3 days, want at most 2", n)
 	}
 }
 

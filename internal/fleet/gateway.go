@@ -455,58 +455,24 @@ func unpackCursor(cur string, shards int) ([]int32, bool) {
 	return anchors, true
 }
 
-// appRow is one listing row as fetched from a shard: the app's global ID
-// (the merge key) plus the shard's exact encoded bytes, spliced verbatim
-// into the assembled page so a row through the gateway is byte-identical
-// to the same row from a single node.
-type appRow struct {
-	id  int32
-	raw json.RawMessage
-}
-
-func (a *appRow) UnmarshalJSON(b []byte) error {
-	var key struct {
-		ID int32 `json:"id"`
-	}
-	if err := json.Unmarshal(b, &key); err != nil {
-		return err
-	}
-	a.id = key.ID
-	a.raw = append(json.RawMessage(nil), b...)
-	return nil
-}
-
-// shardPage is one shard's parsed cursor-page response.
+// shardPage is one shard's parsed cursor-page response. Its rows alias
+// buf's body.
 type shardPage struct {
-	Apps       []appRow `json:"apps"`
-	NextCursor string   `json:"next_cursor"`
-	Total      int      `json:"total"`
-
-	next int32 // decoded NextCursor anchor; -1 = shard reported no more
-	day  string
-	etag string
-	cc   string
-	age  string
+	rows  []appRow
+	total int
+	next  int32 // decoded next_cursor anchor; -1 = shard reported no more
+	day   string
+	etag  string
+	cc    string
+	age   string
+	buf   *pageBuf
 }
 
-// gwCursorPage mirrors storeserver.CursorPageJSON with pre-encoded rows.
-type gwCursorPage struct {
-	Apps       []json.RawMessage `json:"apps"`
-	NextCursor string            `json:"next_cursor,omitempty"`
-	Total      int               `json:"total"`
-}
-
-// gwPage mirrors storeserver.PageJSON with pre-encoded rows.
-type gwPage struct {
-	Apps  []json.RawMessage `json:"apps"`
-	Page  int               `json:"page"`
-	Pages int               `json:"pages"`
-	Total int               `json:"total"`
-}
-
-// assembled is one merged gateway listing page.
+// assembled is one merged gateway listing page. Its rows alias the shard
+// bodies in pages, which release hands back to the pool once the page has
+// been written.
 type assembled struct {
-	rows    []json.RawMessage
+	rows    [][]byte
 	anchors []int32 // next per-shard anchors after this page
 	done    bool    // every shard drained: no next page
 	total   int
@@ -514,33 +480,54 @@ type assembled struct {
 	etag    string
 	cc      string
 	age     string
+	pages   []shardPage
+}
+
+func (a *assembled) release() {
+	for i := range a.pages {
+		if a.pages[i].buf != nil {
+			a.pages[i].buf.release()
+			a.pages[i].buf = nil
+		}
+	}
 }
 
 // fetchShardPage pulls one shard's listing slice anchored at a global ID.
-func (g *Gateway) fetchShardPage(ctx context.Context, i int, anchor int32, limit int) (*shardPage, *gwError) {
+// The body is read once into a pooled buffer and validated and split into
+// rows in one pass; a body that is not a well-formed listing page is 502
+// shard_bad_response.
+func (g *Gateway) fetchShardPage(ctx context.Context, i int, anchor int32, limit int) (shardPage, *gwError) {
 	c := &g.cfg.Shards[i]
 	path := "/api/v1/apps?cursor=" + storeserver.EncodeCursor(int(anchor)) +
 		"&limit=" + strconv.Itoa(limit)
 	resp, err := c.get(ctx, path, nil)
 	if err != nil {
-		return nil, &gwError{http.StatusBadGateway, "shard_unreachable",
+		return shardPage{}, &gwError{http.StatusBadGateway, "shard_unreachable",
 			"shard " + c.Name + " unreachable"}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, &gwError{http.StatusServiceUnavailable, "shard_unavailable",
+		return shardPage{}, &gwError{http.StatusServiceUnavailable, "shard_unavailable",
 			"shard " + c.Name + " answered " + strconv.Itoa(resp.StatusCode)}
 	}
-	var page shardPage
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		return nil, &gwError{http.StatusBadGateway, "shard_bad_response",
+	buf, err := readPage(resp.Body, resp.ContentLength)
+	if err != nil {
+		return shardPage{}, &gwError{http.StatusBadGateway, "shard_bad_response",
 			"shard " + c.Name + ": " + err.Error()}
 	}
-	page.next = -1
-	if page.NextCursor != "" {
-		v, ok := storeserver.DecodeCursor(page.NextCursor)
+	l, err := parseShardPage(buf.body, buf.rows[:0])
+	if err != nil {
+		buf.release()
+		return shardPage{}, &gwError{http.StatusBadGateway, "shard_bad_response",
+			"shard " + c.Name + ": " + err.Error()}
+	}
+	buf.rows = l.rows
+	page := shardPage{rows: l.rows, total: l.total, next: -1, buf: buf}
+	if len(l.cursor) > 0 {
+		v, ok := storeserver.DecodeCursor(string(l.cursor))
 		if !ok {
-			return nil, &gwError{http.StatusBadGateway, "shard_bad_response",
+			buf.release()
+			return shardPage{}, &gwError{http.StatusBadGateway, "shard_bad_response",
 				"shard " + c.Name + ": undecodable next_cursor"}
 		}
 		page.next = int32(v)
@@ -549,7 +536,7 @@ func (g *Gateway) fetchShardPage(ctx context.Context, i int, anchor int32, limit
 	page.etag = resp.Header.Get("Etag")
 	page.cc = resp.Header.Get("Cache-Control")
 	page.age = resp.Header.Get("Age")
-	return &page, nil
+	return page, nil
 }
 
 // assemble builds one merged listing page of up to limit rows starting at
@@ -563,61 +550,63 @@ func (g *Gateway) fetchShardPage(ctx context.Context, i int, anchor int32, limit
 // epoch, so the retry needs no repositioning.
 func (g *Gateway) assemble(ctx context.Context, anchors []int32, limit int) (*assembled, *gwError) {
 	k := len(g.cfg.Shards)
-	pages := make([]*shardPage, k)
+	out := &assembled{pages: make([]shardPage, k)}
+	pages := out.pages
 	gerr := g.scatter(ctx, func(ctx context.Context, i int) *gwError {
-		p, e := g.fetchShardPage(ctx, i, anchors[i], limit)
-		pages[i] = p
+		var e *gwError
+		pages[i], e = g.fetchShardPage(ctx, i, anchors[i], limit)
 		return e
 	})
 	if gerr != nil {
+		out.release()
 		return nil, gerr
 	}
 	day := pages[0].day
 	for _, p := range pages {
 		if p.day != day {
+			out.release()
 			return nil, nil // epoch skew
 		}
 	}
 
-	out := &assembled{
-		anchors: make([]int32, k),
-		day:     day,
-		cc:      pages[0].cc,
-		age:     pages[0].age,
-	}
-	heads := make([]int, k)
+	out.anchors = make([]int32, k)
+	out.day, out.cc, out.age = day, pages[0].cc, pages[0].age
+	buffered := 0
 	for _, p := range pages {
-		out.total += p.Total
+		out.total += p.total
+		buffered += len(p.rows)
 	}
+	out.rows = make([][]byte, 0, min(limit, buffered))
+	heads := make([]int, k)
 	for len(out.rows) < limit {
 		best := -1
 		for i, p := range pages {
-			if heads[i] < len(p.Apps) &&
-				(best < 0 || p.Apps[heads[i]].id < pages[best].Apps[heads[best]].id) {
+			if heads[i] < len(p.rows) &&
+				(best < 0 || p.rows[heads[i]].id < pages[best].rows[heads[best]].id) {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		out.rows = append(out.rows, pages[best].Apps[heads[best]].raw)
+		out.rows = append(out.rows, pages[best].rows[heads[best]].raw)
 		heads[best]++
 	}
 	out.done = true
 	for i, p := range pages {
 		switch {
-		case heads[i] < len(p.Apps):
+		case heads[i] < len(p.rows):
 			// Unconsumed buffered rows: resume at the first of them.
-			out.anchors[i] = p.Apps[heads[i]].id
+			out.anchors[i] = p.rows[heads[i]].id
 			out.done = false
 		case p.next >= 0:
 			// Buffer drained but the shard has more.
 			out.anchors[i] = p.next
 			out.done = false
-		case len(p.Apps) > 0:
+		case len(p.rows) > 0:
 			// Shard exhausted: park just past its last row, where rows
 			// appended by a future day-roll will appear.
-			out.anchors[i] = p.Apps[len(p.Apps)-1].id + 1
+			out.anchors[i] = p.rows[len(p.rows)-1].id + 1
 		default:
 			out.anchors[i] = anchors[i]
 		}
@@ -763,6 +752,7 @@ func (g *Gateway) serveCursorPage(w http.ResponseWriter, r *http.Request, anchor
 		g.writeError(w, true, err)
 		return
 	}
+	defer asm.release()
 	g.mergedPages.Inc()
 	h := w.Header()
 	h.Set("X-API-Version", "1")
@@ -778,18 +768,13 @@ func (g *Gateway) serveCursorPage(w http.ResponseWriter, r *http.Request, anchor
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	out := gwCursorPage{Apps: asm.rows, Total: asm.total}
-	if out.Apps == nil {
-		out.Apps = []json.RawMessage{}
-	}
+	next := ""
 	if !asm.done {
-		out.NextCursor = packCursor(asm.anchors)
+		next = packCursor(asm.anchors)
 	}
-	var buf bytes.Buffer
-	json.NewEncoder(&buf).Encode(out) //nolint:errcheck
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.Write(buf.Bytes()) //nolint:errcheck // client gone; nothing useful to do
+	ob := outBufs.Get().(*[]byte)
+	*ob = appendCursorPage((*ob)[:0], asm.rows, next, asm.total)
+	writePage(w, ob)
 }
 
 // servePageZero synthesizes listing page 0 — the first PageSize rows of
@@ -813,6 +798,7 @@ func (g *Gateway) servePageZero(w http.ResponseWriter, r *http.Request, v1 bool)
 		g.writeError(w, v1, err)
 		return
 	}
+	defer asm.release()
 	g.mergedPages.Inc()
 	pages := (asm.total + g.cfg.PageSize - 1) / g.cfg.PageSize
 	if pages == 0 {
@@ -836,15 +822,23 @@ func (g *Gateway) servePageZero(w http.ResponseWriter, r *http.Request, v1 bool)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	out := gwPage{Apps: asm.rows, Page: 0, Pages: pages, Total: asm.total}
-	if out.Apps == nil {
-		out.Apps = []json.RawMessage{}
-	}
-	var buf bytes.Buffer
-	json.NewEncoder(&buf).Encode(out) //nolint:errcheck
+	ob := outBufs.Get().(*[]byte)
+	*ob = appendPageZero((*ob)[:0], asm.rows, pages, asm.total)
+	writePage(w, ob)
+}
+
+// outBufs recycles rendered merged pages.
+var outBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writePage serves a rendered merged page and recycles its buffer.
+func writePage(w http.ResponseWriter, ob *[]byte) {
+	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.Write(buf.Bytes()) //nolint:errcheck // client gone; nothing useful to do
+	h.Set("Content-Length", strconv.Itoa(len(*ob)))
+	w.Write(*ob) //nolint:errcheck // client gone; nothing useful to do
+	if cap(*ob) <= maxPooledBody {
+		outBufs.Put(ob)
+	}
 }
 
 // inmMatch is If-None-Match per RFC 9110 (weak comparison, lists, *).
