@@ -3,10 +3,12 @@
 // perf-oriented change is judged against.
 //
 // The workload comes from a recorded binary trace (-trace, see cmd/
-// and internal/trace) or is synthesized live from the paper's workload
-// models. The target is an external store (-target) or an in-process
-// storeserver spun up for the run, in which case the report also echoes
-// the server-side request counters so client and server accounting can be
+// and internal/trace), is synthesized live from the paper's workload
+// models, or (-model session, with -api v1) replays a session plan whose
+// users also install, rate and comment through the write path. The
+// target is an external store (-target) or an in-process storeserver
+// spun up for the run, in which case the report also echoes the
+// server-side request counters so client and server accounting can be
 // cross-checked.
 //
 // Usage:
@@ -14,6 +16,7 @@
 //	loadtest -events 100000 -mode both -stages 400x5s,800x5s -vus 64
 //	loadtest -trace workload.trace -target http://127.0.0.1:8080 -mode open -stages 200x30s
 //	loadtest -mode closed -vus 128 -think 10ms -out report.json
+//	loadtest -shards 2 -api v1 -model session -day-roll 2s
 package main
 
 import (
@@ -39,6 +42,7 @@ import (
 	"planetapps/internal/marketsim"
 	"planetapps/internal/model"
 	"planetapps/internal/resilient"
+	"planetapps/internal/session"
 	"planetapps/internal/storeserver"
 	"planetapps/internal/trace"
 	"planetapps/internal/wal"
@@ -61,10 +65,10 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "workload seed")
 		out       = flag.String("out", "", "write the JSON report here instead of stdout")
 
-		modelKind = flag.String("model", "clustering", "synthesized workload model: zipf, zipf-amo, clustering")
+		modelKind = flag.String("model", "clustering", "synthesized workload model: zipf, zipf-amo, clustering, or session (browse-install-rate-comment funnels; requires -api v1)")
 		apps      = flag.Int("apps", 0, "synthesized app population (0 = match in-process catalog, else 5000)")
 		users     = flag.Int("users", 20000, "synthesized user population")
-		dpu       = flag.Float64("dpu", 8, "synthesized mean downloads per user")
+		dpu       = flag.Float64("dpu", 8, "synthesized mean downloads (session: visits) per user")
 		zipfG     = flag.Float64("zipf", 1.4, "global Zipf exponent")
 		zipfC     = flag.Float64("zipf-cluster", 1.4, "within-cluster Zipf exponent")
 		clusterP  = flag.Float64("cluster-p", 0.9, "clustering probability p")
@@ -80,8 +84,6 @@ func main() {
 		shards    = flag.Int("shards", 0, "in-process store fleet: N partitioned shards behind a consistent-hash gateway (0 = single node)")
 		vnodes    = flag.Int("vnodes", 0, "fleet consistent-hash virtual nodes per shard (0 = default; more vnodes = better partition balance)")
 		listEvery = flag.Int("list-every", 0, "issue a catalog listing request for every Nth event (0 = off)")
-
-		writeMix = flag.Float64("write-mix", 0, "fraction of events that also drive the v1 write funnel (POST download/rate/comments; requires -api v1)")
 
 		dayRoll = flag.Duration("day-roll", 0, "day-roll scenario: advance the in-process store one day this long into the measured window and report pre/post-swap latency separately (0 = off)")
 		prewarm = flag.Int("prewarm", 0, "in-process store: pre-encode this many hot documents after each day roll (0 = off)")
@@ -275,7 +277,6 @@ func main() {
 		MaxEvents:   *events,
 		APKEvery:    *apkEvery,
 		ListEvery:   *listEvery,
-		WriteMix:    *writeMix,
 		AcceptGzip:  *gz,
 		Seed:        *seed,
 	}
@@ -398,7 +399,7 @@ func main() {
 		log.Printf("loadtest: fleet: %d shards served %d requests (gateway: %d proxied, %d merged pages, %d epoch retries, %d epoch skews, %d shard errors)",
 			*shards, served, gst.Proxied, gst.MergedPages, gst.EpochRetries, gst.EpochSkews, gst.ShardErrors)
 	}
-	if *writeMix > 0 && (srv != nil || ip != nil) {
+	if *modelKind == "session" && (srv != nil || ip != nil) {
 		// Drain the WAL with two quiescent rolls: the first merges every
 		// write still buffered when the run ended, the second proves the
 		// buffer is empty. After that, accepted == merged is the no-lost-
@@ -494,8 +495,8 @@ func detailClass(rep *loadgen.Report) *loadgen.ClassReport {
 }
 
 // sourceFactory returns a function producing fresh Sources over the same
-// workload: re-opening the trace file, or re-streaming the model with the
-// same seed.
+// workload: re-opening the trace file, re-streaming the model with the
+// same seed, or re-walking one session plan.
 func sourceFactory(ctx context.Context, tracePath, kind string, cfg model.Config, seed uint64) (func() (loadgen.Source, error), string, error) {
 	if tracePath != "" {
 		// Validate eagerly so flag errors surface before the run.
@@ -523,6 +524,18 @@ func sourceFactory(ctx context.Context, tracePath, kind string, cfg model.Config
 			return loadgen.NewTraceSource(tr), nil
 		}, desc, nil
 	}
+	if kind == "session" {
+		// The model flags size the plan; the funnel conversions are
+		// stackbench's funnel workload's.
+		plan := session.NewPlan(session.Config{
+			Users: cfg.Users, Apps: cfg.Apps, Clusters: cfg.Clusters, ClusterP: cfg.ClusterP,
+			ZipfS: cfg.ZipfCluster, VisitsPerUser: cfg.DownloadsPerUser,
+			InstallP: 0.5, RateP: 0.3, CommentP: 0.1, Seed: seed,
+		})
+		desc := fmt.Sprintf("session plan (%d apps, %d users, %d visits: %d installs, %d ratings, %d comments)",
+			cfg.Apps, cfg.Users, plan.Visits, plan.Installs, plan.Ratings, plan.Comments)
+		return func() (loadgen.Source, error) { return loadgen.NewPlanSource(plan), nil }, desc, nil
+	}
 	var mk model.Kind
 	switch kind {
 	case "zipf":
@@ -532,7 +545,7 @@ func sourceFactory(ctx context.Context, tracePath, kind string, cfg model.Config
 	case "clustering":
 		mk = model.AppClustering
 	default:
-		return nil, "", fmt.Errorf("unknown model %q (want zipf, zipf-amo, clustering)", kind)
+		return nil, "", fmt.Errorf("unknown model %q (want zipf, zipf-amo, clustering, session)", kind)
 	}
 	sim, err := model.NewSimulator(mk, cfg)
 	if err != nil {

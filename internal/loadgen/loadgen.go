@@ -1,8 +1,10 @@
-// Package loadgen replays workload-model download streams as live HTTP
-// traffic against a storeserver — the missing link between the paper's
-// generative workload models (internal/model, internal/trace) and the
-// ROADMAP's production-scale serving goal. A Generator drives a store in
-// one of two classical load-testing disciplines:
+// Package loadgen replays simulated users as live HTTP traffic against a
+// storeserver. A Source yields visits: download streams from the paper's
+// generative workload models (internal/model, internal/trace) become
+// read-only detail views, and session plans (internal/session) add each
+// visit's planned install, rating and comment as /api/v1 POSTs. A
+// Generator drives a store in one of two classical load-testing
+// disciplines:
 //
 //   - Open loop: requests are launched on a fixed schedule (target RPS per
 //     ramp stage) regardless of how fast the server responds, the arrival
@@ -35,7 +37,7 @@ import (
 
 	"planetapps/internal/gcstats"
 	"planetapps/internal/metrics"
-	"planetapps/internal/model"
+	"planetapps/internal/session"
 )
 
 // Mode selects the load discipline.
@@ -83,7 +85,9 @@ type Config struct {
 	// BaseURL is the store root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
 	// APIPrefix selects the API surface to drive: "/api" (default,
-	// legacy) or "/api/v1".
+	// legacy) or "/api/v1". Visits that carry writes need "/api/v1" — the
+	// legacy surface is read-only — and a Run pulling one from any other
+	// surface stops with an error before sending it.
 	APIPrefix string
 	// Client is the HTTP client; nil gets a client tuned for many
 	// concurrent connections to one host.
@@ -123,16 +127,6 @@ type Config struct {
 	// is also the expensive class — the gateway must scatter to every
 	// shard and merge, where a single node serves a pre-rendered page.
 	ListEvery int
-	// WriteMix is the fraction of workload events that also drive the v1
-	// write funnel (0..1): each selected event POSTs a download for its
-	// (user, app), and a deterministic slice of those add a rating and a
-	// comment. Selection hashes (user, app) with Seed, so the same
-	// workload and seed issue the same writes regardless of mode or
-	// concurrency, and each write carries an Idempotency-Key derived from
-	// the same tuple, so retries and re-runs dedup instead of
-	// double-counting. Requires APIPrefix "/api/v1" — the legacy surface
-	// is read-only.
-	WriteMix float64
 	// AcceptGzip negotiates compressed transfer: every request carries an
 	// explicit Accept-Encoding — "gzip" when set, "identity" when not —
 	// so the wire representation is deterministic and visible (the Go
@@ -161,9 +155,9 @@ const (
 	ClassAPK    = "apk"
 )
 
-// Write endpoints reported separately when WriteMix > 0. The names match
-// the store's store_writes_total endpoint label, so client- and
-// server-side write accounting line up term for term.
+// Write endpoints reported separately once a visit sends writes. The
+// names match the store's store_writes_total endpoint label, so client-
+// and server-side write accounting line up term for term.
 const (
 	WriteDownload = "download"
 	WriteRate     = "rate"
@@ -285,12 +279,6 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.APIPrefix == "" {
 		cfg.APIPrefix = "/api"
 	}
-	if cfg.WriteMix < 0 || cfg.WriteMix > 1 {
-		return nil, fmt.Errorf("loadgen: WriteMix %g out of [0, 1]", cfg.WriteMix)
-	}
-	if cfg.WriteMix > 0 && cfg.APIPrefix != "/api/v1" {
-		return nil, errors.New("loadgen: WriteMix needs the v1 surface (APIPrefix /api/v1); legacy is read-only")
-	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 4096
 	}
@@ -322,26 +310,31 @@ func New(cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// next pulls the next workload event, enforcing MaxEvents; ok is false at
-// the end of the workload.
-func (g *Generator) next() (model.Event, bool) {
+// next pulls the next visit, enforcing MaxEvents; ok is false at the end
+// of the workload. A visit with writes on a read-only surface ends the
+// run with an error instead.
+func (g *Generator) next() (Visit, bool) {
 	g.srcMu.Lock()
 	defer g.srcMu.Unlock()
 	if g.srcErr != nil {
-		return model.Event{}, false
+		return Visit{}, false
 	}
 	if g.cfg.MaxEvents > 0 && g.events >= g.cfg.MaxEvents {
-		return model.Event{}, false
+		return Visit{}, false
 	}
-	e, err := g.src.Next()
+	v, err := g.src.Next()
+	if err == nil && (v.Install || v.Rating > 0 || v.Comment) && g.cfg.APIPrefix != "/api/v1" {
+		err = fmt.Errorf("loadgen: visit by user %d to app %d writes, which needs the v1 surface (APIPrefix /api/v1); %s is read-only",
+			v.User, v.App, g.cfg.APIPrefix)
+	}
 	if err != nil {
 		if !errors.Is(err, io.EOF) {
 			g.srcErr = err
 		}
-		return model.Event{}, false
+		return Visit{}, false
 	}
 	g.events++
-	return e, true
+	return v, true
 }
 
 // clientAddr maps a workload user id to a stable synthetic client address
@@ -352,16 +345,16 @@ func clientAddr(user int32) string {
 }
 
 // issue performs one request and records it under class.
-func (g *Generator) issue(ctx context.Context, class string, ev model.Event) {
+func (g *Generator) issue(ctx context.Context, class string, v Visit) {
 	cs := g.classes[class]
 	url := g.cfg.BaseURL + g.cfg.APIPrefix
 	switch class {
 	case ClassList:
 		url += "/apps"
 	case ClassAPK:
-		url += "/apps/" + strconv.Itoa(int(ev.App)) + "/apk"
+		url += "/apps/" + strconv.Itoa(int(v.App)) + "/apk"
 	default:
-		url += "/apps/" + strconv.Itoa(int(ev.App))
+		url += "/apps/" + strconv.Itoa(int(v.App))
 	}
 	rctx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
 	defer cancel()
@@ -370,7 +363,7 @@ func (g *Generator) issue(ctx context.Context, class string, ev model.Event) {
 		cs.errors.Inc()
 		return
 	}
-	req.Header.Set("X-Forwarded-For", clientAddr(ev.User))
+	req.Header.Set("X-Forwarded-For", clientAddr(v.User))
 	if g.cfg.AcceptGzip {
 		req.Header.Set("Accept-Encoding", "gzip")
 	} else {
@@ -430,34 +423,21 @@ func (g *Generator) issue(ctx context.Context, class string, ev model.Event) {
 	}
 }
 
-// writeHash mixes (seed, user, app) into the 64 bits every write-mix
-// decision derives from — a splitmix64 finalizer, so nearby ids decohere.
-func writeHash(seed uint64, user, app int32) uint64 {
-	x := seed ^ uint64(uint32(user))<<32 ^ uint64(uint32(app))
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// issueWrite POSTs one v1 mutation and classifies the store's verdict.
-func (g *Generator) issueWrite(ctx context.Context, endpoint string, ev model.Event, h uint64) {
+// issueWrite POSTs one v1 mutation of v's app and classifies the store's
+// verdict. rating rides in the body when positive; the Idempotency-Key is
+// the plan's, so retries and re-runs dedup instead of double-counting.
+func (g *Generator) issueWrite(ctx context.Context, endpoint string, v Visit, rating int8) {
 	ws := g.writes[endpoint]
-	user := strconv.Itoa(int(ev.User))
-	var tail, body string
-	switch endpoint {
-	case WriteDownload:
-		tail, body = "/download", `{"user":`+user+`}`
-	case WriteRate:
-		tail = "/rate"
-		body = `{"user":` + user + `,"rating":` + strconv.Itoa(int(h>>8)%5+1) + `}`
-	case WriteComment:
-		tail = "/comments"
-		body = `{"user":` + user + `,"rating":` + strconv.Itoa(int(h>>16)%5+1) + `}`
+	path := endpoint
+	if endpoint == WriteComment {
+		path = "comments"
 	}
-	url := g.cfg.BaseURL + g.cfg.APIPrefix + "/apps/" + strconv.Itoa(int(ev.App)) + tail
+	body := `{"user":` + strconv.Itoa(int(v.User))
+	if rating > 0 {
+		body += `,"rating":` + strconv.Itoa(int(rating))
+	}
+	body += "}"
+	url := g.cfg.BaseURL + g.cfg.APIPrefix + "/apps/" + strconv.Itoa(int(v.App)) + "/" + path
 	rctx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, url, strings.NewReader(body))
@@ -465,9 +445,9 @@ func (g *Generator) issueWrite(ctx context.Context, endpoint string, ev model.Ev
 		ws.errors.Inc()
 		return
 	}
-	req.Header.Set("X-Forwarded-For", clientAddr(ev.User))
+	req.Header.Set("X-Forwarded-For", clientAddr(v.User))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Idempotency-Key", "lg-u"+user+"-a"+strconv.Itoa(int(ev.App))+"-"+endpoint)
+	req.Header.Set("Idempotency-Key", session.IdemKey(v.User, v.App, path))
 	start := time.Now()
 	record := !start.Before(g.measureAt)
 	if !record {
@@ -520,30 +500,26 @@ func (g *Generator) issueWrite(ctx context.Context, endpoint string, ev model.Ev
 	}
 }
 
-// issueEvent replays one workload event: a metadata detail request, plus
-// a listing page for every ListEvery-th event, an APK download for every
-// APKEvery-th event, and — when WriteMix selects the event's (user, app)
-// — the write funnel: always a download, every 4th writer also rates,
-// every 8th also comments.
-func (g *Generator) issueEvent(ctx context.Context, ev model.Event, n int64) {
-	g.issue(ctx, ClassDetail, ev)
+// issueEvent replays one visit: a metadata detail request, plus a listing
+// page for every ListEvery-th visit and an APK download for every
+// APKEvery-th, then the visit's planned writes in funnel order — download,
+// rate, comment.
+func (g *Generator) issueEvent(ctx context.Context, v Visit, n int64) {
+	g.issue(ctx, ClassDetail, v)
 	if g.cfg.ListEvery > 0 && n%int64(g.cfg.ListEvery) == 0 {
-		g.issue(ctx, ClassList, ev)
+		g.issue(ctx, ClassList, v)
 	}
 	if g.cfg.APKEvery > 0 && n%int64(g.cfg.APKEvery) == 0 {
-		g.issue(ctx, ClassAPK, ev)
+		g.issue(ctx, ClassAPK, v)
 	}
-	if g.cfg.WriteMix > 0 {
-		h := writeHash(g.cfg.Seed, ev.User, ev.App)
-		if float64(h>>40)/float64(1<<24) < g.cfg.WriteMix {
-			g.issueWrite(ctx, WriteDownload, ev, h)
-			if h&0x3 == 0 {
-				g.issueWrite(ctx, WriteRate, ev, h)
-			}
-			if h&0x7 == 0 {
-				g.issueWrite(ctx, WriteComment, ev, h)
-			}
-		}
+	if v.Install {
+		g.issueWrite(ctx, WriteDownload, v, 0)
+	}
+	if v.Rating > 0 {
+		g.issueWrite(ctx, WriteRate, v, v.Rating)
+	}
+	if v.Comment {
+		g.issueWrite(ctx, WriteComment, v, v.CommentRating)
 	}
 }
 
@@ -622,7 +598,7 @@ func (g *Generator) runOpen(ctx context.Context) {
 			} else if ctx.Err() != nil {
 				return
 			}
-			ev, ok := g.next()
+			v, ok := g.next()
 			if !ok {
 				return
 			}
@@ -634,7 +610,7 @@ func (g *Generator) runOpen(ctx context.Context) {
 				go func() {
 					defer wg.Done()
 					defer func() { <-sem }()
-					g.issueEvent(ctx, ev, n)
+					g.issueEvent(ctx, v, n)
 				}()
 			default:
 				g.dropped.Inc()
@@ -654,11 +630,11 @@ func (g *Generator) runClosed(ctx context.Context) {
 			r := rand.New(rand.NewSource(int64(g.cfg.Seed) + int64(id)))
 			var seq int64
 			for ctx.Err() == nil {
-				ev, ok := g.next()
+				v, ok := g.next()
 				if !ok {
 					return
 				}
-				g.issueEvent(ctx, ev, seq)
+				g.issueEvent(ctx, v, seq)
 				seq++
 				if g.cfg.Think > 0 {
 					d := time.Duration(r.ExpFloat64() * float64(g.cfg.Think))

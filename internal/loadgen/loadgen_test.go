@@ -194,6 +194,33 @@ func TestWarmupExclusion(t *testing.T) {
 	}
 }
 
+// TestWarmupCountsEveryClass: list and APK requests sent inside the
+// warmup count toward WarmupRequests even when their class recorded no
+// measured request.
+func TestWarmupCountsEveryClass(t *testing.T) {
+	_, ts := testStore(t, storeserver.Config{PageSize: 50})
+	g, err := New(Config{
+		BaseURL:   ts.URL,
+		Mode:      ClosedLoop,
+		Users:     1,
+		ListEvery: 1,
+		APKEvery:  1,
+		MaxEvents: 20,
+		Warmup:    time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := g.Run(context.Background(), NewSliceSource(syntheticEvents(100, 10, 40)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Requests != 0 || rep.WarmupRequests != 60 {
+		t.Fatalf("requests %d, warmup requests %d; want 0 and 60 (20 each of detail, list, apk)",
+			rep.Requests, rep.WarmupRequests)
+	}
+}
+
 func TestContextCancelStopsRun(t *testing.T) {
 	_, ts := testStore(t, storeserver.Config{PageSize: 50, Latency: 5 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)

@@ -128,11 +128,11 @@ type Report struct {
 	MeasuredSec    float64       `json:"measured_sec"`
 	ThroughputRPS  float64       `json:"throughput_rps"`
 	Classes        []ClassReport `json:"classes"`
-	// Writes appears when the run drove a write mix. Write requests are
+	// Writes appears when the run sent any write. Write requests are
 	// accounted here, not in Requests/ThroughputRPS, so read-path
-	// baselines stay comparable across write-mix settings; WriteAccepted
-	// and WriteDeduped total the per-endpoint rows (the cross-check
-	// against the store's WAL counters).
+	// baselines stay comparable between read-only and session runs;
+	// WriteAccepted and WriteDeduped total the per-endpoint rows (the
+	// cross-check against the store's WAL counters).
 	Writes        []WriteReport  `json:"writes,omitempty"`
 	WriteAccepted int64          `json:"write_accepted,omitempty"`
 	WriteDeduped  int64          `json:"write_deduped,omitempty"`
@@ -176,11 +176,11 @@ func (g *Generator) report(elapsed time.Duration) *Report {
 				cr.PostRollMS, cr.PostRollCount = &s, post.Count
 			}
 		}
+		rep.WarmupRequests += cs.warmup.Value()
 		if cr.Requests == 0 && class != ClassDetail {
 			continue
 		}
 		rep.Requests += cr.Requests
-		rep.WarmupRequests += cs.warmup.Value()
 		rep.OK += cr.OK
 		rep.RateLimited += cr.RateLimited
 		rep.Errors += cr.Errors
@@ -193,7 +193,11 @@ func (g *Generator) report(elapsed time.Duration) *Report {
 	if rep.MeasuredSec > 0 {
 		rep.ThroughputRPS = float64(rep.Requests) / rep.MeasuredSec
 	}
-	if g.cfg.WriteMix > 0 {
+	var sent int64
+	for _, ws := range g.writes {
+		sent += ws.posts.Value() + ws.warmup.Value()
+	}
+	if sent > 0 {
 		for _, ep := range writeEndpoints {
 			ws := g.writes[ep]
 			wr := WriteReport{

@@ -5,14 +5,48 @@ import (
 	"io"
 
 	"planetapps/internal/model"
+	"planetapps/internal/session"
 	"planetapps/internal/trace"
 )
 
-// Source yields the download events a Generator replays as HTTP traffic.
-// Next returns io.EOF when the workload is exhausted. Implementations need
-// not be safe for concurrent use; the Generator serializes access.
+// Visit is one replayed workload step: User views App's detail page, then
+// sends whatever writes the embedded session.Visit plans. Download-stream
+// sources (trace, model, slice) yield visits with no writes.
+type Visit struct {
+	User int32
+	session.Visit
+}
+
+// eventVisit wraps a download event as a read-only visit.
+func eventVisit(e model.Event) Visit {
+	return Visit{User: e.User, Visit: session.Visit{App: e.App}}
+}
+
+// Source yields the visits a Generator replays as HTTP traffic. Next
+// returns io.EOF when the workload is exhausted. Implementations need not
+// be safe for concurrent use; the Generator serializes access.
 type Source interface {
-	Next() (model.Event, error)
+	Next() (Visit, error)
+}
+
+// planSource walks a session plan in user order.
+type planSource struct {
+	p    *session.Plan
+	u, i int
+}
+
+// NewPlanSource replays a session plan: each user's visits in order, user
+// after user, every visit carrying its planned install, rating and comment.
+func NewPlanSource(p *session.Plan) Source { return &planSource{p: p} }
+
+func (s *planSource) Next() (Visit, error) {
+	for ; s.u < len(s.p.Users); s.u, s.i = s.u+1, 0 {
+		if up := &s.p.Users[s.u]; s.i < len(up.Visits) {
+			s.i++
+			return Visit{User: up.User, Visit: up.Visits[s.i-1]}, nil
+		}
+	}
+	return Visit{}, io.EOF
 }
 
 // traceSource adapts a trace.Reader.
@@ -23,7 +57,10 @@ type traceSource struct {
 // NewTraceSource replays a recorded binary trace.
 func NewTraceSource(r *trace.Reader) Source { return &traceSource{r: r} }
 
-func (s *traceSource) Next() (model.Event, error) { return s.r.Read() }
+func (s *traceSource) Next() (Visit, error) {
+	e, err := s.r.Read()
+	return eventVisit(e), err
+}
 
 // sliceSource serves a fixed event list (tests, pre-materialized traces).
 type sliceSource struct {
@@ -34,13 +71,13 @@ type sliceSource struct {
 // NewSliceSource replays an in-memory event slice.
 func NewSliceSource(events []model.Event) Source { return &sliceSource{events: events} }
 
-func (s *sliceSource) Next() (model.Event, error) {
+func (s *sliceSource) Next() (Visit, error) {
 	if s.i >= len(s.events) {
-		return model.Event{}, io.EOF
+		return Visit{}, io.EOF
 	}
 	e := s.events[s.i]
 	s.i++
-	return e, nil
+	return eventVisit(e), nil
 }
 
 // modelSource synthesizes events live from a workload simulator, bridging
@@ -72,12 +109,12 @@ func NewModelSource(ctx context.Context, sim *model.Simulator, seed uint64) Sour
 	return &modelSource{ch: ch, cancel: cancel}
 }
 
-func (s *modelSource) Next() (model.Event, error) {
+func (s *modelSource) Next() (Visit, error) {
 	e, ok := <-s.ch
 	if !ok {
-		return model.Event{}, io.EOF
+		return Visit{}, io.EOF
 	}
-	return e, nil
+	return eventVisit(e), nil
 }
 
 // Close stops the generating goroutine early; safe to call repeatedly.

@@ -1,19 +1,10 @@
 package session_test
 
 import (
-	"context"
-	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
-	"strconv"
 	"testing"
 
-	"planetapps/internal/catalog"
-	"planetapps/internal/marketsim"
 	"planetapps/internal/session"
-	"planetapps/internal/storeserver"
 )
 
 func planConfig(seed uint64) session.Config {
@@ -55,166 +46,4 @@ func TestPlanFetchAtMostOnce(t *testing.T) {
 			}
 		}
 	}
-}
-
-func newStore(t *testing.T) (*storeserver.Server, *httptest.Server) {
-	t.Helper()
-	mcfg := marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(0.2))
-	mcfg.Days = 10
-	m, err := marketsim.New(mcfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := storeserver.New(m, storeserver.Config{PageSize: 50})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
-}
-
-func fetch(t *testing.T, url string) (string, string) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
-	}
-	return string(b), resp.Header.Get("Etag")
-}
-
-// TestReplayDeterminism pins the satellite: the same plan executed at 1
-// worker and at 8 workers against same-seed stores yields byte-identical
-// next-day snapshots — WAL deltas are order-independent, comment
-// timestamps are day-derived, and all randomness lives in the plan.
-func TestReplayDeterminism(t *testing.T) {
-	plan := session.NewPlan(planConfig(11))
-
-	run := func(workers int) (*storeserver.Server, *httptest.Server, session.Stats) {
-		s, ts := newStore(t)
-		r := &session.Runner{BaseURL: ts.URL, Workers: workers}
-		st, err := r.Run(context.Background(), plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.AdvanceDay(); err != nil {
-			t.Fatal(err)
-		}
-		return s, ts, st
-	}
-
-	s1, ts1, st1 := run(1)
-	s8, ts8, st8 := run(8)
-
-	if st1.Errors != 0 || st8.Errors != 0 {
-		t.Fatalf("session errors: 1-worker %+v, 8-worker %+v", st1, st8)
-	}
-	if st1 != st8 {
-		t.Fatalf("stats differ by worker count:\n 1: %+v\n 8: %+v", st1, st8)
-	}
-	if st1.Installs != int64(plan.Installs) || st1.Accepted == 0 {
-		t.Fatalf("planned %d installs, ran %+v", plan.Installs, st1)
-	}
-
-	w1, w8 := s1.WALStats(), s8.WALStats()
-	if w1.Accepted != w8.Accepted || w1.Merged != w1.Accepted || w8.Merged != w8.Accepted {
-		t.Fatalf("wal stats diverge: %+v vs %+v", w1, w8)
-	}
-
-	// Byte-level comparison of the next-day snapshot across every surface
-	// the writes touch.
-	urls := []string{"/api/v1/stats"}
-	for id := 0; id < 20; id++ {
-		urls = append(urls,
-			"/api/v1/apps/"+strconv.Itoa(id),
-			"/api/v1/apps/"+strconv.Itoa(id)+"/comments")
-	}
-	cursor := ""
-	for {
-		b1, e1 := fetch(t, ts1.URL+"/api/v1/apps?cursor="+cursor)
-		b8, e8 := fetch(t, ts8.URL+"/api/v1/apps?cursor="+cursor)
-		if b1 != b8 || e1 != e8 {
-			t.Fatalf("list page (cursor %q) differs by worker count", cursor)
-		}
-		next := nextCursor(t, b1)
-		if next == "" {
-			break
-		}
-		cursor = next
-	}
-	for _, u := range urls {
-		b1, e1 := fetch(t, ts1.URL+u)
-		b8, e8 := fetch(t, ts8.URL+u)
-		if b1 != b8 {
-			t.Fatalf("%s: bodies differ by worker count:\n 1: %s\n 8: %s", u, b1, b8)
-		}
-		if e1 != e8 {
-			t.Fatalf("%s: ETags differ by worker count: %q vs %q", u, e1, e8)
-		}
-	}
-}
-
-// nextCursor pulls next_cursor out of a list page without importing the
-// server's wire structs.
-func nextCursor(t *testing.T, body string) string {
-	t.Helper()
-	var page struct {
-		NextCursor string `json:"next_cursor"`
-	}
-	if err := jsonUnmarshal(body, &page); err != nil {
-		t.Fatal(err)
-	}
-	return page.NextCursor
-}
-
-// TestReplayDedups pins the idempotency story end to end: re-running the
-// same plan against the same store (same Idempotency-Keys) acknowledges
-// every write without logging anything twice — even across a day-roll,
-// which ages but keeps one generation of keys.
-func TestReplayDedups(t *testing.T) {
-	plan := session.NewPlan(planConfig(13))
-	s, ts := newStore(t)
-	r := &session.Runner{BaseURL: ts.URL, Workers: 4}
-
-	st1, err := r.Run(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.Errors != 0 || st1.Accepted == 0 || st1.Deduped != 0 {
-		t.Fatalf("first run: %+v", st1)
-	}
-	accepted := s.WALStats().Accepted
-
-	// Replay within the same day: every write dedups on its key.
-	st2, err := r.Run(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Errors != 0 || st2.Accepted != 0 || st2.Deduped != st1.Accepted {
-		t.Fatalf("same-day replay: %+v (first run %+v)", st2, st1)
-	}
-	if got := s.WALStats().Accepted; got != accepted {
-		t.Fatalf("replay logged new records: %d -> %d", accepted, got)
-	}
-
-	// Replay across one roll: keys live in the aged generation, still dedup.
-	if err := s.AdvanceDay(); err != nil {
-		t.Fatal(err)
-	}
-	st3, err := r.Run(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3.Errors != 0 || st3.Accepted != 0 || st3.Deduped != st1.Accepted {
-		t.Fatalf("cross-roll replay: %+v", st3)
-	}
-	if got := s.WALStats().Accepted; got != accepted {
-		t.Fatalf("cross-roll replay logged new records: %d -> %d", accepted, got)
-	}
-}
-
-func jsonUnmarshal(s string, v any) error {
-	return json.Unmarshal([]byte(s), v)
 }
